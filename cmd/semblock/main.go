@@ -27,7 +27,7 @@
 //	semblock pipeline -demo cora -match title=1 -stream -batch 128
 //
 // The "serve" subcommand runs the multi-tenant blocking service: named
-// collections backed by sharded streaming indexes, an HTTP JSON API
+// collections backed by streaming indexes, an HTTP JSON API
 // (create/ingest/candidates/snapshot/resolve/compact plus /healthz and
 // /metrics), periodic snapshot checkpoints into -data-dir, automatic
 // segment compaction once a chain crosses -compact-segments/-compact-bytes,
@@ -108,8 +108,8 @@ func main() {
 
 // runBenchServe implements the "bench serve" subcommand: the serving-layer
 // load harness. It ingests a synthetic corpus into one in-process collection
-// in mini-batches — exercising the shared-log staging, per-shard table
-// builds, striped pair dedup and candidate drains the HTTP ingest path runs
+// in mini-batches — exercising the shared-log staging, table inserts,
+// per-record canonical merge and candidate drains the HTTP ingest path runs
 // — and reports ingest throughput plus batch/drain latency quantiles:
 //
 //	semblock bench serve -records 1000000 -batch 1024 -shards 4
@@ -118,7 +118,7 @@ func runBenchServe(args []string) error {
 	var (
 		records    = fs.Int("records", 1_000_000, "records to ingest")
 		batch      = fs.Int("batch", 1024, "records per ingest batch")
-		shards     = fs.Int("shards", 4, "table-shard count of the collection")
+		shards     = fs.Int("shards", 4, "collection shards value (kept for compatibility; does not change the layout)")
 		workers    = fs.Int("workers", 0, "signature worker pool cap (0 = runtime default)")
 		drainEvery = fs.Int("drain-every", 1, "drain candidates every N batches (<0 = only at the end)")
 		seed       = fs.Int64("seed", 1, "synthetic corpus seed")
@@ -149,7 +149,7 @@ func runServe(args []string) error {
 	var (
 		addr         = fs.String("addr", ":8080", "listen address")
 		dataDir      = fs.String("data-dir", "", "snapshot persistence directory (empty = in-memory only)")
-		shards       = fs.Int("shards", 1, "default table-shard count for collections that do not set one")
+		shards       = fs.Int("shards", 1, "default shards value for collections that do not set one (kept for compatibility; does not change the layout)")
 		checkpoint   = fs.Duration("checkpoint", 30*time.Second, "checkpoint interval (requires -data-dir; 0 = only on shutdown)")
 		compactSegs  = fs.Int("compact-segments", 32, "auto-compact a collection once its chain exceeds this many segments (0 = never by count)")
 		compactBytes = fs.Int64("compact-bytes", 0, "auto-compact a collection once the segments appended since its last compaction exceed this many bytes (0 = never by size)")

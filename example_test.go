@@ -125,10 +125,10 @@ func ExampleNewPipeline() {
 }
 
 // ExampleNewServer runs the multi-tenant serving layer in-process: a
-// collection backed by two table shards ingests a small stream, drains the
-// incremental candidates, and serves its health endpoint over HTTP. The
-// shard count never changes the candidates — the shards partition the hash
-// tables, so their merged output equals an unsharded (and a batch) run.
+// collection ingests a small stream, drains the incremental candidates, and
+// serves its health endpoint over HTTP. The candidates equal a batch run
+// over the same records; the spec's Shards field is kept for compatibility
+// and does not change them.
 func ExampleNewServer() {
 	srv, _ := semblock.NewServer()
 	c, _ := srv.Create(semblock.CollectionSpec{

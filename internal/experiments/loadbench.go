@@ -20,7 +20,8 @@ type LoadConfig struct {
 	Records int
 	// Batch is the ingest mini-batch size (default 1024).
 	Batch int
-	// Shards is the collection's table-shard count (default 4).
+	// Shards is the collection's shards value (default 4), kept for
+	// compatibility; it does not change the collection's layout.
 	Shards int
 	// Workers caps the signature worker pools (0 = runtime default).
 	Workers int
@@ -79,9 +80,9 @@ func (r *LoadResult) String() string {
 }
 
 // LoadBench drives the serving-layer ingest hot path end to end — shared-log
-// staging, per-shard table builds, striped pair dedup, canonical merge,
-// candidate drains — against one in-process collection and measures it. The
-// corpus is generated up front (generation time is excluded); the measured
+// staging, table inserts, per-record canonical merge, candidate drains —
+// against one in-process collection and measures it. The corpus is
+// generated up front (generation time is excluded); the measured
 // loop is exactly what the HTTP ingest/candidates endpoints execute minus
 // the JSON transport.
 func LoadBench(cfg LoadConfig) (*LoadResult, error) {

@@ -159,30 +159,6 @@ func (f *Family) SignatureSubsetFromHashesInto(hashes []uint64, components []int
 	}
 }
 
-// SignatureSubsetInto computes only the selected signature components
-// (indices into the family) into sig, which must have length Size();
-// every other component is left at the empty-set sentinel and must not be
-// read. Selected components equal the corresponding components of a full
-// SignatureInto run, so partial and full signatures are interchangeable
-// wherever only the selected components are consumed — the property the
-// table-sharded serving layer relies on. Cost is proportional to
-// len(grams)·len(components) instead of len(grams)·Size().
-//
-//semblock:hotpath
-func (f *Family) SignatureSubsetInto(grams []string, components []int, sig []uint64) {
-	for i := range sig {
-		sig[i] = emptyMin
-	}
-	for _, g := range grams {
-		b := baseHash(g)
-		for _, i := range components {
-			if h := splitmix64(b ^ f.seeds[i]); h < sig[i] {
-				sig[i] = h
-			}
-		}
-	}
-}
-
 // Signature2Into computes, per hash function, the minimum and the second
 // smallest distinct hash value over the shingle set. The second minimum is
 // the natural perturbation target for multi-probe LSH: it is the value the

@@ -140,39 +140,6 @@ func BenchmarkSignature252(b *testing.B) {
 	}
 }
 
-// TestSignatureSubsetInto checks that a partial signature equals the full
-// signature on the selected components and the sentinel elsewhere — the
-// interchangeability property table-sharded indexing relies on.
-func TestSignatureSubsetInto(t *testing.T) {
-	f := NewFamily(24, 42)
-	grams := textual.QGrams("cascade correlation learning", 2)
-	full := f.Signature(grams)
-
-	components := []int{2, 3, 10, 11, 22, 23}
-	selected := make(map[int]bool)
-	for _, c := range components {
-		selected[c] = true
-	}
-	sub := make([]uint64, f.Size())
-	f.SignatureSubsetInto(grams, components, sub)
-	for i := range sub {
-		switch {
-		case selected[i] && sub[i] != full[i]:
-			t.Errorf("component %d: subset %d, full %d", i, sub[i], full[i])
-		case !selected[i] && sub[i] != emptyMin:
-			t.Errorf("unselected component %d not at sentinel: %d", i, sub[i])
-		}
-	}
-
-	// Empty shingle set: every component at the sentinel.
-	f.SignatureSubsetInto(nil, components, sub)
-	for i := range sub {
-		if sub[i] != emptyMin {
-			t.Errorf("empty-set component %d = %d, want sentinel", i, sub[i])
-		}
-	}
-}
-
 // TestSignatureFromHashes checks the staged two-step form (ShingleHashes
 // once, then full or subset mixing) reproduces the direct computations
 // exactly — the property the shared-log serving layer relies on to hash each
@@ -212,6 +179,12 @@ func TestSignatureFromHashes(t *testing.T) {
 	for i := range staged {
 		if staged[i] != emptyMin {
 			t.Errorf("empty-set staged component %d = %d, want sentinel", i, staged[i])
+		}
+	}
+	f.SignatureSubsetFromHashesInto(ShingleHashes(nil), components, sub)
+	for i := range sub {
+		if sub[i] != emptyMin {
+			t.Errorf("empty-set staged subset component %d = %d, want sentinel", i, sub[i])
 		}
 	}
 }

@@ -1,6 +1,6 @@
 package record
 
-import "sort"
+import "slices"
 
 // Pair is an unordered pair of record IDs packed into one uint64 with the
 // smaller ID in the high word. Packing keeps candidate-pair sets compact and
@@ -23,7 +23,7 @@ func (p Pair) Right() ID { return ID(p & 0xffffffff) }
 
 // SortPairs sorts pairs in ascending canonical order.
 func SortPairs(ps []Pair) {
-	sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
+	slices.Sort(ps)
 }
 
 // PairSet is a set of distinct record pairs.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -12,7 +13,6 @@ import (
 
 	"semblock/internal/blocking"
 	"semblock/internal/er"
-	"semblock/internal/lsh"
 	"semblock/internal/metablocking"
 	"semblock/internal/obs"
 	"semblock/internal/pipeline"
@@ -21,51 +21,41 @@ import (
 )
 
 // Collection is one tenant's long-lived blocking index: one shared record
-// log (stream.SharedLog) consumed by N table-sharded stream.Indexer
-// instances. Shard i owns the hash tables {t : t mod N == i} (restricted
-// with stream.WithTables) and attaches to the collection's log with
-// stream.WithSharedLog, so the record log is stored exactly once per
-// collection and each record's q-gram + semhash signature stage is computed
-// exactly once — by the collection's worker pool — no matter how many
-// shards consume it. Record IDs are assigned by the log, so shard-local IDs
-// coincide with the collection's global IDs and candidate pairs from
-// different shards merge without translation. Because the shard table
-// subsets are disjoint and cover 0..l-1, the deduplicated union of the
-// shards' candidate pairs equals the unsharded candidate set — and the
-// batch Block set — by construction; sharding buys write parallelism, never
-// changes results.
+// log (stream.SharedLog) feeding one stream.Indexer that maintains all l
+// hash tables. The log assigns the dense record IDs and computes each
+// record's q-gram + semhash signature stage once, on the collection's
+// worker pool; the Indexer mixes the minhash components and fills the
+// tables, which it spreads over its own internal table-shards — the write
+// parallelism of an ingest. A snapshot is therefore block-for-block the
+// batch Block result over the same records, by construction.
 //
 // Candidate pairs enter the emission log in canonical emission order —
 // record-major (a record's pairs are queued when its ingest completes),
-// deduplicated against everything emitted before, sorted within one
-// record's freshly discovered group. The order depends only on the record
-// sequence, never on ingest batch boundaries, shard count, or worker
-// count; persistence relies on this to resume candidate delivery from
-// durable per-consumer-group cursors after a restore (see persist.go,
+// each pair exactly once, sorted within one record's group. The order
+// depends only on the record sequence, never on ingest batch boundaries or
+// worker count; persistence relies on this to resume candidate delivery
+// from durable per-consumer-group cursors after a restore (see persist.go,
 // consumer.go).
 //
-// All methods are safe for concurrent use. Ingest order is serialised per
-// collection (the ID-assignment mutex), while the shards of one ingest
-// batch proceed in parallel and independent collections never contend.
+// All methods are safe for concurrent use. Ingest is serialised per
+// collection (the ID-assignment mutex), while the table-shards of one
+// ingest batch proceed in parallel and independent collections never
+// contend.
 type Collection struct {
 	spec      CollectionSpec
-	cfg       lsh.Config
 	technique string
 
 	mu  sync.Mutex        // serialises ingest (ID assignment), drains, snapshots
-	log *stream.SharedLog // the one record log + staging pass all shards share
-	// seen is the global dedup ledger of every candidate pair ever merged
-	// from the shards. It is striped (independently locked shards of the
-	// pair space) so the canonical merge can deduplicate one batch's records
-	// in parallel instead of serialising every pair through c.mu.
-	seen record.StripedPairSet
+	log *stream.SharedLog // the record log + once-per-record staging pass
+	ix  *stream.Indexer   // the l hash tables, filled through InsertStaged
 
-	// emitted is the retained tail of the canonical emission sequence:
+	// emitted is the retained part of the canonical emission sequence:
 	// emitted[i] is sequence position emitBase+i, and emitBase+len(emitted)
-	// always equals seen.Len(). The prefix every consumer group has
-	// acknowledged is trimmed away (see trimLocked); a group created from
-	// the start reconstructs it from the tables. Appended under mu; popped
-	// windows are read-only views, never mutated in place.
+	// is the total emission count. Positions below the smallest group
+	// cursor are released; trimLocked drops them once they outweigh the
+	// live tail, and a group created from the start reconstructs a dropped
+	// prefix from the tables. Appended under mu; popped windows are
+	// read-only views, never mutated in place.
 	emitted  []record.Pair
 	emitBase int
 
@@ -76,8 +66,6 @@ type Collection struct {
 	// whenever new pairs are appended (or a group is deleted), waking every
 	// blocked long-poll, SSE stream and webhook worker at once.
 	signal chan struct{}
-
-	shards []*stream.Indexer
 
 	// persistence state (see persist.go, compact.go). saveMu serialises
 	// Save and Compact calls; segments/persisted/generation are read and
@@ -106,50 +94,28 @@ func newCollection(spec CollectionSpec) (*Collection, error) {
 	if cfg.Semantic != nil {
 		technique = "sa-lsh"
 	}
-	// The shared log's staging pool does the per-record q-gram + semhash
-	// work once for the whole collection, so it gets the full worker
-	// budget; the per-shard pools only mix their own tables' minhash
-	// components and are sized 1/N of it so a fan-out ingest does not
-	// oversubscribe the CPU by a factor of the shard count.
-	logWorkers := spec.Workers
-	if logWorkers <= 0 {
-		logWorkers = runtime.NumCPU()
+	workers := spec.Workers
+	if workers <= 0 {
+		workers = runtime.NumCPU()
 	}
-	log, err := stream.NewSharedLog(spec.Name, cfg, logWorkers)
+	log, err := stream.NewSharedLog(spec.Name, cfg, workers)
 	if err != nil {
 		return nil, fmt.Errorf("server: shared log of %s: %w", spec.Name, err)
 	}
-	c := &Collection{
+	ix, err := stream.NewIndexer(cfg, stream.WithSharedLog(log), stream.WithWorkers(workers))
+	if err != nil {
+		return nil, fmt.Errorf("server: index of %s: %w", spec.Name, err)
+	}
+	return &Collection{
 		spec:        spec,
-		cfg:         cfg,
 		technique:   technique,
 		log:         log,
+		ix:          ix,
 		groups:      map[string]*consumerGroup{DefaultConsumer: {name: DefaultConsumer}},
 		signal:      make(chan struct{}),
 		ingestHist:  obs.NewHistogram(),
 		resolveHist: obs.NewHistogram(),
-	}
-	shardWorkers := spec.Workers
-	if shardWorkers <= 0 {
-		shardWorkers = runtime.NumCPU() / spec.Shards
-		if shardWorkers < 1 {
-			shardWorkers = 1
-		}
-	}
-	for i := 0; i < spec.Shards; i++ {
-		var tables []int
-		for t := i; t < cfg.L; t += spec.Shards {
-			tables = append(tables, t)
-		}
-		ix, err := stream.NewIndexer(cfg,
-			stream.WithTables(tables...), stream.WithWorkers(shardWorkers),
-			stream.WithSharedLog(log))
-		if err != nil {
-			return nil, fmt.Errorf("server: shard %d of %s: %w", i, spec.Name, err)
-		}
-		c.shards = append(c.shards, ix)
-	}
-	return c, nil
+	}, nil
 }
 
 // Name returns the collection name.
@@ -168,18 +134,15 @@ func (c *Collection) Len() int {
 func (c *Collection) PairCount() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.seen.Len()
+	return c.totalLocked()
 }
 
 // Ingest appends a batch of records to the collection and returns their
-// assigned (dense, global) IDs. The batch is appended to the shared log
-// once — which computes each record's signature stage exactly once, on the
-// collection's worker pool — then handed to every shard concurrently; each
-// shard fills only its own hash tables from the precomputed stages. The
-// shards' freshly discovered collision pairs are merged into the single
-// collection ledger in canonical emission order (record-major,
-// deduplicated, sorted within one record's group) and queued for
-// Candidates.
+// assigned (dense, global) IDs. The batch is appended to the shared log —
+// which computes each record's signature stage once, on the collection's
+// worker pool — and filed into the hash tables; the freshly discovered
+// collision pairs are queued for the consumer groups in canonical emission
+// order (record-major, each pair once, sorted within one record's group).
 func (c *Collection) Ingest(rows []stream.Row) ([]record.ID, error) {
 	if len(rows) == 0 {
 		return nil, nil
@@ -188,138 +151,56 @@ func (c *Collection) Ingest(rows []stream.Row) ([]record.ID, error) {
 	defer func() { c.ingestHist.Observe(time.Since(start)) }()
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.ingestLocked(rows), nil
+}
+
+// ingestLocked is the one path that fills the tables and the emission log:
+// Ingest and restore (LoadCollection) both run it (caller holds c.mu).
+//
+// No pair ledger is needed. Ingest is serialised, and a record only
+// collides with records already in the tables, so every pair InsertStaged
+// reports in record i's group has Right() == batch.IDs[i]: a pair is found
+// exactly while its higher-ID record is inserted, never before or after.
+// The only repeats are within that group — the same two records sharing a
+// bucket in several tables — so sorting the group and dropping adjacent
+// duplicates yields each new pair once, in an order that is a pure function
+// of the record sequence (independent of batch boundaries and worker
+// count), which is what lets a persisted cursor (a plain count) resume
+// delivery exactly after a replay.
+func (c *Collection) ingestLocked(rows []stream.Row) []record.ID {
 	batch := c.log.Append(rows)
-	perShard := make([]stream.PairGroups, len(c.shards))
-	var wg sync.WaitGroup
-	for si, sh := range c.shards {
-		wg.Add(1)
-		go func(si int, sh *stream.Indexer) {
-			defer wg.Done()
-			perShard[si] = sh.InsertStaged(batch)
-		}(si, sh)
+	groups := c.ix.InsertStaged(batch)
+	before := len(c.emitted)
+	for i := range batch.IDs {
+		g := groups.Group(i)
+		record.SortPairs(g)
+		c.emitted = append(c.emitted, slices.Compact(g)...)
 	}
-	wg.Wait()
-	// Canonical merge. The same pair may surface in several shards (it can
-	// collide in tables owned by different shards) or repeatedly over time;
-	// the global seen set keeps exactly one copy. Sorting each record's
-	// fresh group makes the queue order a pure function of the record
-	// sequence — independent of batch boundaries, shard count, and worker
-	// count — which is what lets the persisted drain cursor (a plain count)
-	// resume delivery exactly after a replay.
-	//
-	// The per-record dedup runs in parallel: every pair in record i's group
-	// has Right() == batch.IDs[i] (a pair is discovered when its higher-ID
-	// record arrives), so two distinct batch records can never contribute
-	// the same pair and the striped seen set resolves same-record repeats
-	// across shards atomically. Only the final in-order queue append is
-	// sequential.
-	fresh := make([][]record.Pair, len(rows))
-	parallelChunks(len(rows), c.mergeWorkers(), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			var g []record.Pair
-			for si := range perShard {
-				for _, p := range perShard[si].Group(i) {
-					if c.seen.AddPair(p) {
-						g = append(g, p)
-					}
-				}
-			}
-			record.SortPairs(g)
-			fresh[i] = g
-		}
-	})
-	added := 0
-	for _, g := range fresh {
-		c.emitted = append(c.emitted, g...)
-		added += len(g)
-	}
-	if added > 0 {
+	if len(c.emitted) > before {
 		// Wake blocked consumers (long-polls, SSE streams, webhook workers):
 		// new positions exist past their cursors.
 		c.broadcastLocked()
 	}
-	return batch.IDs, nil
-}
-
-// mergeWorkers sizes the canonical-merge worker pool.
-func (c *Collection) mergeWorkers() int {
-	if c.spec.Workers > 0 {
-		return c.spec.Workers
-	}
-	return runtime.NumCPU()
-}
-
-// parallelChunks splits [0,n) into up to `workers` contiguous chunks and
-// runs fn on each concurrently, returning when all chunks finish.
-func parallelChunks(n, workers int, fn func(lo, hi int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		fn(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// replayRows rebuilds the hash tables from a persisted record batch
-// without any candidate-pair bookkeeping: the shared log stages the rows
-// once and every shard files them through stream.ReplayStaged, which
-// discards the collision groups. LoadCollection calls this for every
-// replayed chunk and then reconstructs the whole pair ledger in one pass
-// with rebuildLedger — collecting, deduplicating and sorting per-record
-// groups during replay would redo work whose outcome is already determined
-// by the final table contents.
-func (c *Collection) replayRows(rows []stream.Row) {
-	if len(rows) == 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	batch := c.log.Append(rows)
-	var wg sync.WaitGroup
-	for _, sh := range c.shards {
-		wg.Add(1)
-		go func(sh *stream.Indexer) {
-			defer wg.Done()
-			sh.ReplayStaged(batch)
-		}(sh)
-	}
-	wg.Wait()
+	return batch.IDs
 }
 
 // canonicalSeqLocked reconstructs the full canonical emission sequence from
-// the current table contents (caller holds c.mu). It relies on two
-// structural facts of the ingest path: the set of pairs ever emitted equals
-// the set of co-bucketed pairs (a pair is emitted exactly when its records
-// first share a bucket), and the canonical emission order is the pair set
-// sorted by (higher ID, lower ID) — a pair is always discovered when its
-// higher-ID record is ingested, record groups are queued in record order,
-// and each group is sorted by the lower ID. Together they make the sequence
-// a pure function of the final snapshot, which is what lets restore replay
-// records through the pair-free fast path and lets a from-start consumer
-// group recover a prefix other groups already released.
+// the current table contents (caller holds c.mu); CreateConsumer needs it
+// when a from-start group asks for a prefix trimLocked already dropped. The
+// set of pairs ever emitted is the set of co-bucketed pairs, and the
+// canonical order is that set sorted by (higher ID, lower ID) — a pair is
+// found while its higher-ID record is ingested, record groups are queued
+// in record order and each group is sorted by the lower ID.
 func (c *Collection) canonicalSeqLocked() []record.Pair {
-	seen := c.snapshotLocked().CandidatePairs()
-	seq := make([]record.Pair, 0, seen.Len())
-	for p := range seen {
-		seq = append(seq, p)
+	var seq []record.Pair
+	for _, b := range c.ix.Snapshot().Blocks {
+		for i, hi := range b {
+			for _, lo := range b[:i] {
+				if lo != hi {
+					seq = append(seq, record.MakePair(lo, hi))
+				}
+			}
+		}
 	}
 	sort.Slice(seq, func(i, j int) bool {
 		if ri, rj := seq[i].Right(), seq[j].Right(); ri != rj {
@@ -327,41 +208,7 @@ func (c *Collection) canonicalSeqLocked() []record.Pair {
 		}
 		return seq[i].Left() < seq[j].Left()
 	})
-	return seq
-}
-
-// rebuildLedger reconstructs the candidate-pair ledger from the current
-// table contents and installs the manifest's consumer groups at their
-// durable cursors (see canonicalSeqLocked for why the sequence is
-// recoverable at all). The default group is created at cursor 0 if the
-// manifest does not name it; the acknowledged common prefix is trimmed
-// immediately so a restore never pins already-delivered pairs.
-func (c *Collection) rebuildLedger(consumers []consumerManifest) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	seq := c.canonicalSeqLocked()
-	groups := make(map[string]*consumerGroup, len(consumers)+1)
-	for _, cm := range consumers {
-		if cm.Cursor < 0 || cm.Cursor > len(seq) {
-			return fmt.Errorf("server: collection %s consumer %q cursor %d outside the %d replayed pairs",
-				c.spec.Name, cm.Name, cm.Cursor, len(seq))
-		}
-		groups[cm.Name] = &consumerGroup{name: cm.Name, cursor: cm.Cursor, webhook: cm.Webhook}
-	}
-	if _, ok := groups[DefaultConsumer]; !ok {
-		groups[DefaultConsumer] = &consumerGroup{name: DefaultConsumer}
-	}
-	c.seen.Reset()
-	for _, p := range seq {
-		c.seen.AddPair(p)
-	}
-	c.emitted = seq
-	c.emitBase = 0
-	c.groups = groups
-	// Release the prefix every group has acknowledged so the restored
-	// collection does not pin already-delivered pairs.
-	c.trimLocked()
-	return nil
+	return slices.Compact(seq)
 }
 
 // Candidates drains and returns the candidate pairs discovered since the
@@ -425,21 +272,12 @@ func (c *Collection) DrainCandidates(deliver func([]record.Pair) error) error {
 	return err
 }
 
-// Snapshot materialises the current index as a batch-style block result:
-// the concatenation of the shards' snapshots, equal (up to block order) to
-// a batch Block run over the ingested records.
+// Snapshot materialises the current index as a batch-style block result,
+// equal (up to block order) to a batch Block run over the ingested records.
 func (c *Collection) Snapshot() *blocking.Result {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.snapshotLocked()
-}
-
-func (c *Collection) snapshotLocked() *blocking.Result {
-	var blocks [][]record.ID
-	for _, sh := range c.shards {
-		blocks = append(blocks, sh.Snapshot().Blocks...)
-	}
-	return blocking.NewResult(c.technique, blocks)
+	return c.ix.Snapshot()
 }
 
 // Dataset returns a copy of the ingested records (IDs preserved), e.g. for
@@ -547,7 +385,7 @@ func (c *Collection) ResolveContext(ctx context.Context, req ResolveRequest) (*p
 	sp := obs.From(ctx).Start(obs.StageBlock)
 	c.mu.Lock()
 	ds := c.datasetCopyLocked()
-	snap := c.snapshotLocked()
+	snap := c.ix.Snapshot()
 	c.mu.Unlock()
 	sp.End()
 
@@ -604,9 +442,10 @@ func parsePruning(spec PruneSpec) (metablocking.WeightScheme, metablocking.Prune
 type Stats struct {
 	Name      string `json:"name"`
 	Technique string `json:"technique"`
-	Shards    int    `json:"shards"`
-	Records   int    `json:"records"`
-	Pairs     int    `json:"pairs"`
+	// Shards echoes the spec's compatibility-only shards value.
+	Shards  int `json:"shards"`
+	Records int `json:"records"`
+	Pairs   int `json:"pairs"`
 	// PendingPairs/DrainedPairs describe the default consumer group — the
 	// legacy single-cursor view. Consumers carries every group, the default
 	// included.
@@ -660,9 +499,9 @@ func (c *Collection) Stats() Stats {
 	return Stats{
 		Name:             c.spec.Name,
 		Technique:        c.technique,
-		Shards:           len(c.shards),
+		Shards:           c.spec.Shards,
 		Records:          c.log.Len(),
-		Pairs:            c.seen.Len(),
+		Pairs:            c.totalLocked(),
 		PendingPairs:     c.totalLocked() - def.cursor - def.inflight,
 		DrainedPairs:     def.cursor,
 		Consumers:        c.consumersLocked(),

@@ -31,14 +31,15 @@ type CollectionSpec struct {
 	K    int   `json:"k"`
 	L    int   `json:"l"`
 	Seed int64 `json:"seed"`
-	// Shards is the number of table shards backing the collection (0 = the
-	// server default). Shards partition the l hash tables, not the records:
-	// every record is inserted into every shard, so the merged candidate
-	// set equals an unsharded index's — sharding changes write parallelism,
-	// never results.
+	// Shards is kept for compatibility and no longer changes the layout:
+	// every collection is one index over all l tables, whose internal
+	// table-shards supply the write parallelism. The field is still
+	// accepted (0 = the server default), range-checked against l, persisted
+	// in manifests and reported in Stats, so older manifests and clients
+	// keep working.
 	Shards int `json:"shards,omitempty"`
-	// Workers caps each shard's signature worker pool (0 = NumCPU spread
-	// evenly over the shards).
+	// Workers sizes the collection's staging and signing worker pools and
+	// its number of internal table-shards (0 = NumCPU).
 	Workers int `json:"workers,omitempty"`
 	// Semantic upgrades the collection from LSH to SA-LSH.
 	Semantic *SemanticSpec `json:"semantic,omitempty"`

@@ -123,7 +123,6 @@ type ConsumerBatch struct {
 }
 
 // totalLocked is the collection-wide emission count (caller holds c.mu).
-// Invariant: equals c.seen.Len().
 func (c *Collection) totalLocked() int { return c.emitBase + len(c.emitted) }
 
 // broadcastLocked wakes every blocked waiter (long-polls, SSE streams,
@@ -146,19 +145,24 @@ func (c *Collection) minCursorLocked() int {
 	return min
 }
 
-// trimLocked releases the emission-log prefix every group has acknowledged:
-// the tail is copied to a fresh backing array so the drained prefix is
-// garbage, not pinned. In-flight windows sit above their group's cursor, so
-// a trim can never drop pairs an unsettled delivery still references (and
-// popped slices stay valid regardless — the old backing array is never
-// mutated). Caller holds c.mu.
+// trimLocked drops the emission-log prefix every group has acknowledged,
+// amortised: while the released prefix is shorter than the live tail it
+// stays in place (a view past it costs nothing), and once it is at least as
+// long the tail is copied to a fresh backing array so the prefix becomes
+// garbage. Each copy moves at most as many pairs as were released since the
+// previous one, so trimming costs O(1) amortised per acknowledged pair
+// while the retained log stays under twice the live tail. In-flight windows
+// sit above their group's cursor, so a trim can never drop pairs an
+// unsettled delivery still references (and popped slices stay valid
+// regardless — the old backing array is never mutated). Caller holds c.mu.
 func (c *Collection) trimLocked() {
-	min := c.minCursorLocked()
-	if min <= c.emitBase {
+	released := c.minCursorLocked() - c.emitBase
+	live := len(c.emitted) - released
+	if released <= 0 || released < live {
 		return
 	}
-	c.emitted = append([]record.Pair(nil), c.emitted[min-c.emitBase:]...)
-	c.emitBase = min
+	c.emitted = append([]record.Pair(nil), c.emitted[released:]...)
+	c.emitBase += released
 }
 
 // unknownConsumer renders the ErrUnknownConsumer error for one group name.
@@ -197,9 +201,10 @@ func (c *Collection) statsLocked(g *consumerGroup) ConsumerStats {
 // CreateConsumer registers a new named consumer group. With fromEnd the
 // cursor starts at the current end of the emission sequence (the group only
 // sees pairs discovered after creation); otherwise it starts at zero and
-// replays the full history — including any prefix already released by other
-// groups' acknowledgments, which is reconstructed from the index tables
-// (the canonical sequence is a pure function of them, see rebuildLedger).
+// replays the full history — including any prefix already dropped after
+// other groups' acknowledgments, which is reconstructed from the index
+// tables (the canonical sequence is a pure function of them, see
+// canonicalSeqLocked).
 func (c *Collection) CreateConsumer(name string, fromEnd bool) (ConsumerStats, error) {
 	if !nameRE.MatchString(name) {
 		return ConsumerStats{}, fmt.Errorf("server: consumer group name %q must match %s", name, nameRE)
@@ -213,8 +218,8 @@ func (c *Collection) CreateConsumer(name string, fromEnd bool) (ConsumerStats, e
 	if fromEnd {
 		g.cursor = c.totalLocked()
 	} else if c.emitBase > 0 {
-		// The new group needs a prefix other groups already released;
-		// rebuild the full canonical sequence from the tables.
+		// The new group needs a prefix trimLocked already dropped; rebuild
+		// the full canonical sequence from the tables.
 		c.emitted = c.canonicalSeqLocked()
 		c.emitBase = 0
 	}

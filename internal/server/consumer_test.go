@@ -8,11 +8,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"semblock/internal/record"
+	"semblock/internal/stream"
 )
 
 // TestConsumerLifecycle drives the collection-level consumer-group API:
@@ -481,5 +484,53 @@ func TestLegacyCandidatesIsDefaultGroup(t *testing.T) {
 	}
 	if st.Cursor != total || st.Pending != 0 {
 		t.Fatalf("default group after the legacy drain: %+v, want cursor %d", st, total)
+	}
+}
+
+// TestAckTrimAmortised checks that trimming the emission log costs O(1)
+// amortised per acknowledged pair: a slow group acking one pair at a time
+// over a 4k-pair retained tail must not re-copy the remaining tail on every
+// ack, which would allocate quadratically in the tail length.
+func TestAckTrimAmortised(t *testing.T) {
+	c, err := newCollection(baseSpec("trim", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Records with no attributes share every bucket: 92 of them form one
+	// clique of 4186 pairs.
+	rows := make([]stream.Row, 92)
+	for i := range rows {
+		rows[i] = stream.Row{Entity: record.UnknownEntity, Attrs: map[string]string{}}
+	}
+	if _, err := c.Ingest(rows); err != nil {
+		t.Fatal(err)
+	}
+	tail := c.PairCount()
+	if tail < 4096 {
+		t.Fatalf("fixture emitted %d pairs, want a tail of at least 4096", tail)
+	}
+	if _, err := c.CreateConsumer("slow", false); err != nil {
+		t.Fatal(err)
+	}
+	// The default group takes everything at once; only "slow" pins the tail.
+	if got := len(c.Candidates()); got != tail {
+		t.Fatalf("default drain %d pairs, want %d", got, tail)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for cur := 1; cur <= tail; cur++ {
+		if _, err := c.AckConsumer("slow", cur); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	allocated := after.TotalAlloc - before.TotalAlloc
+	tailBytes := uint64(tail) * uint64(unsafe.Sizeof(record.Pair(0)))
+	if allocated > 4*tailBytes {
+		t.Fatalf("%d single-pair acks allocated %d bytes, want at most 4x the %d-byte tail", tail, allocated, tailBytes)
+	}
+	if st, _ := c.ConsumerStat("slow"); st.Cursor != tail || st.Pending != 0 {
+		t.Fatalf("slow group at cursor %d with %d pending, want %d and 0", st.Cursor, st.Pending, tail)
 	}
 }

@@ -269,17 +269,23 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, map[string]any{"deleted": r.PathValue("name")})
 }
 
+// maxIngestBytes bounds one ingest request body. It sits far above any
+// sensible mini-batch (a 1024-record Cora batch is ~200 KiB) and only stops
+// a client from making the server buffer an unbounded body.
+const maxIngestBytes = 64 << 20
+
 // handleIngest accepts a single row object, a JSON array of rows, or — for
 // bulk loads — a JSONL body (Content-Type application/x-ndjson or
 // application/jsonl) decoded by record.ReadJSONL, the same reader the serve
-// data dir uses.
+// data dir uses. Bodies over maxIngestBytes are refused with 413.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, c *Collection) {
+	r.Body = http.MaxBytesReader(w, r.Body, maxIngestBytes)
 	var rows []stream.Row
 	ct := r.Header.Get("Content-Type")
 	if strings.Contains(ct, "ndjson") || strings.Contains(ct, "jsonl") {
 		d, err := record.ReadJSONL(r.Body, c.Name())
 		if err != nil {
-			s.httpError(w, r, http.StatusBadRequest, codeInvalidRequest, err)
+			s.bodyError(w, r, err)
 			return
 		}
 		rows = make([]stream.Row, 0, d.Len())
@@ -289,7 +295,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, c *Collect
 	} else {
 		body, err := io.ReadAll(r.Body)
 		if err != nil {
-			s.httpError(w, r, http.StatusBadRequest, codeInvalidRequest, err)
+			s.bodyError(w, r, err)
 			return
 		}
 		trimmed := bytes.TrimSpace(body)
@@ -488,6 +494,7 @@ type apiCode string
 
 const (
 	codeInvalidRequest       apiCode = "invalid_request"       // 400: malformed body, params or spec
+	codeRequestTooLarge      apiCode = "request_too_large"     // 413: ingest body over maxIngestBytes
 	codeCursorOutOfRange     apiCode = "cursor_out_of_range"   // 400: ack beyond the emitted sequence
 	codeUnknownCollection    apiCode = "unknown_collection"    // 404
 	codeUnknownConsumer      apiCode = "unknown_consumer"      // 404
@@ -512,6 +519,18 @@ func (s *Server) httpError(w http.ResponseWriter, r *http.Request, status int, c
 		}
 	}
 	s.writeJSON(w, status, map[string]any{"error": body})
+}
+
+// bodyError answers a failed request-body read: 413 request_too_large when
+// the body crossed its http.MaxBytesReader limit, 400 invalid_request
+// otherwise.
+func (s *Server) bodyError(w http.ResponseWriter, r *http.Request, err error) {
+	if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+		s.httpError(w, r, http.StatusRequestEntityTooLarge, codeRequestTooLarge,
+			fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit))
+		return
+	}
+	s.httpError(w, r, http.StatusBadRequest, codeInvalidRequest, err)
 }
 
 // consumerError maps the consumer-group sentinel errors onto the envelope.

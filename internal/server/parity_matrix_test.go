@@ -6,6 +6,7 @@ import (
 
 	"semblock/internal/lsh"
 	"semblock/internal/pipeline"
+	"semblock/internal/record"
 	"semblock/internal/stream"
 )
 
@@ -16,8 +17,47 @@ import (
 // never change results. The CI race job runs this under -race, so the matrix
 // also exercises the striped dedup ledger and the arena-backed signature
 // paths for data races at every parallelism level.
+//
+// The matrix runs twice: over a Cora fixture, and under "degenerate" over
+// records whose blocking attributes are empty or shorter than q. Those
+// share the empty-shingle signature, so they pile into a few large buckets
+// — the largest per-record collision groups the collection's
+// sort-and-compact merge ever sees.
 func TestParityMatrixWorkersShards(t *testing.T) {
 	d, rows := coraFixture(t, 250)
+	parityMatrix(t, d, rows)
+	t.Run("degenerate", func(t *testing.T) {
+		d, rows := degenerateFixture(200)
+		parityMatrix(t, d, rows)
+	})
+}
+
+// degenerateFixture builds n records whose authors/title attributes are
+// missing, empty, whitespace or shorter than baseSpec's q=3.
+func degenerateFixture(n int) (*record.Dataset, []stream.Row) {
+	variants := []map[string]string{
+		{},
+		{"authors": "", "title": ""},
+		{"title": "ab"},
+		{"authors": "x"},
+		{"authors": "a", "title": "b"},
+		{"title": "  "},
+		{"authors": "zq", "title": "q"},
+	}
+	d := record.NewDataset("degenerate")
+	rows := make([]stream.Row, 0, n)
+	for i := 0; i < n; i++ {
+		attrs := variants[i%len(variants)]
+		entity := record.EntityID(i % len(variants))
+		d.Append(entity, attrs)
+		rows = append(rows, stream.Row{Entity: entity, Attrs: attrs})
+	}
+	return d, rows
+}
+
+// parityMatrix asserts the batch/pipeline/stream/collection parity matrix
+// over one corpus.
+func parityMatrix(t *testing.T, d *record.Dataset, rows []stream.Row) {
 	spec := baseSpec("matrix", 1)
 	cfg, err := spec.buildConfig()
 	if err != nil {

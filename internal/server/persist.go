@@ -230,18 +230,18 @@ var ErrOrphanFile = errors.New("file not referenced by the collection manifest")
 const replayChunk = 4096
 
 // LoadCollection restores a collection from its directory: the manifest's
-// spec rebuilds the shared log and its table shards, and the live
-// generation's segments are replayed through them in order via the
-// pair-free replay path (stream.ReplayStaged); the candidate ledger is
-// then reconstructed in one pass from the final table contents
-// (Collection.rebuildLedger). The restored snapshot is identical to the
-// saved collection's at its last checkpoint (batch-parity by replay), and
-// the candidate drain resumes exactly at the manifest's durable cursor:
-// pairs delivered before the checkpoint are discarded from the
-// reconstructed sequence instead of redelivered. Files the manifest does
-// not reference — debris of a crashed compaction — are logged with
-// ErrOrphanFile and skipped. A v1 manifest has no cursor — the drain
-// restarts from the full candidate set, with a logged warning.
+// spec rebuilds the shared log and its index, the manifest's consumer
+// groups are installed at their durable cursors, and the live generation's
+// segments are replayed in order through the ingest path itself — the same
+// code that filled the tables and the emission log before the checkpoint,
+// so the restored snapshot and canonical pair sequence are identical to the
+// saved collection's at its last checkpoint. The emission log is trimmed
+// after every replayed chunk, so restore holds at most about twice the
+// undelivered tail of the sequence: pairs every group acknowledged before
+// the checkpoint are dropped instead of redelivered. Files the manifest does not reference —
+// debris of a crashed compaction — are logged with ErrOrphanFile and
+// skipped. A v1 manifest has no cursor — the drain restarts from the full
+// candidate set, with a logged warning.
 func LoadCollection(dir string) (*Collection, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, manifestFile))
 	if err != nil {
@@ -275,6 +275,12 @@ func LoadCollection(dir string) (*Collection, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Install the groups first: the per-chunk trim below releases exactly
+	// the prefix every group had acknowledged when the checkpoint was taken.
+	// The default group starts at zero if the manifest does not name it.
+	for _, cm := range m.Consumers {
+		c.groups[cm.Name] = &consumerGroup{name: cm.Name, cursor: cm.Cursor, webhook: cm.Webhook}
+	}
 	for i := range m.Segments {
 		seg := &m.Segments[i]
 		f, err := os.Open(filepath.Join(dir, seg.Name))
@@ -301,27 +307,27 @@ func LoadCollection(dir string) (*Collection, error) {
 		}
 		recs := d.Records()
 		for lo := 0; lo < len(recs); lo += replayChunk {
-			hi := lo + replayChunk
-			if hi > len(recs) {
-				hi = len(recs)
-			}
+			hi := min(lo+replayChunk, len(recs))
 			rows := make([]stream.Row, 0, hi-lo)
 			for _, r := range recs[lo:hi] {
 				rows = append(rows, stream.Row{Entity: r.Entity, Attrs: r.Attrs})
 			}
-			c.replayRows(rows)
+			c.mu.Lock()
+			c.ingestLocked(rows)
+			c.trimLocked()
+			c.mu.Unlock()
 		}
 	}
 	if c.Len() != m.Records {
 		return nil, fmt.Errorf("server: collection %s replayed %d records, manifest says %d",
 			m.Spec.Name, c.Len(), m.Records)
 	}
-	// Rebuild the pair ledger from the replayed tables and resume every
-	// consumer group at its durable cursor: the canonical emission sequence
-	// is a pure function of the table contents, of which each group's first
-	// Cursor pairs were already delivered before the checkpoint.
-	if err := c.rebuildLedger(m.Consumers); err != nil {
-		return nil, err
+	total := c.PairCount()
+	for _, cm := range m.Consumers {
+		if cm.Cursor < 0 || cm.Cursor > total {
+			return nil, fmt.Errorf("server: collection %s consumer %q cursor %d outside the %d replayed pairs",
+				m.Spec.Name, cm.Name, cm.Cursor, total)
+		}
 	}
 	c.segments = m.Segments
 	c.persisted = m.Records

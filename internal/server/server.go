@@ -1,27 +1,23 @@
 // Package server is the multi-tenant serving layer over the streaming
-// blocking engine: a Server owns named Collections, each backed by N
-// table-sharded stream.Indexer instances, exposed over an HTTP JSON API
-// (see Handler) and persisted as versioned JSONL segment files so an index
-// survives restarts.
+// blocking engine: a Server owns named Collections, each one shared record
+// log (stream.SharedLog) feeding one stream.Indexer over all l hash tables,
+// exposed over an HTTP JSON API (see Handler) and persisted as versioned
+// JSONL segment files so an index survives restarts.
 //
 // The serving guarantees, all enforced by tests:
 //
-//   - Parity — a collection's merged candidate set and snapshot equal a
-//     batch Block run over the same records, regardless of the shard count:
-//     shards partition the hash tables (every record visits every shard),
-//     so the union of per-shard collisions is exactly the unsharded
-//     collision set.
-//   - Shared state — the shards of one collection share a single record
-//     log and once-per-record signature staging (stream.SharedLog): the
-//     record log is stored once per collection (not once per shard) and
-//     each record's q-gram + semhash stage is computed once, no matter the
-//     shard count.
+//   - Parity — a collection's candidate set and snapshot equal a batch
+//     Block run over the same records, at every worker count and every
+//     value of the compatibility-only shards field.
+//   - Exactly-once emission without a ledger — ingest is serialised per
+//     collection, so each pair is found while its higher-ID record is
+//     inserted and a per-record sort-and-compact emits it once.
 //   - Durability — Save/LoadCollection checkpoint the config, the record
-//     log, and the drain cursor; restore replays the records through the
-//     same engine, so a kill/restart from the latest checkpoint reproduces
-//     the identical snapshot (batch-parity by replay) and resumes candidate
-//     delivery exactly where the checkpoint left off, never redelivering a
-//     pair drained before it.
+//     log, and the consumer cursors; restore replays the records through
+//     the ingest path itself, so a kill/restart from the latest checkpoint
+//     reproduces the identical snapshot and pair sequence and resumes
+//     candidate delivery exactly where the checkpoint left off, never
+//     redelivering a pair drained before it.
 //   - Isolation — collections are independent: ingest is serialised per
 //     collection but never across collections.
 //
@@ -63,8 +59,9 @@ func WithDataDir(dir string) Option {
 	return func(s *Server) { s.dataDir = dir }
 }
 
-// WithDefaultShards sets the shard count applied to collections whose spec
-// does not name one (default 1).
+// WithDefaultShards sets the shards value recorded for collections whose
+// spec does not name one (default 1). Like CollectionSpec.Shards it is kept
+// for compatibility and does not change a collection's layout.
 func WithDefaultShards(n int) Option {
 	return func(s *Server) {
 		if n > 0 {

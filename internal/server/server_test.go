@@ -15,8 +15,10 @@ import (
 	"semblock/internal/record"
 )
 
-// doJSON issues a request and decodes the JSON response into out (skipped
-// when out is nil), returning the status code.
+// doJSON issues a request and decodes the JSON response into out (drained
+// and discarded when out is nil), returning the status code. Reading the
+// body to the end orders the caller after the handler chain returned, so
+// the request's metrics and trace are recorded before the next request.
 func doJSON(t *testing.T, client *http.Client, method, url string, body io.Reader, contentType string, out any) int {
 	t.Helper()
 	req, err := http.NewRequest(method, url, body)
@@ -35,6 +37,9 @@ func doJSON(t *testing.T, client *http.Client, method, url string, body io.Reade
 		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
 			t.Fatalf("%s %s: decode response: %v", method, url, err)
 		}
+	}
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+		t.Fatalf("%s %s: read response: %v", method, url, err)
 	}
 	return resp.StatusCode
 }
@@ -330,5 +335,59 @@ func TestHTTPConcurrentMultiTenantIngest(t *testing.T) {
 			t.Fatalf("tenant%d snapshot has %d pairs, batch %d (overlap %d)",
 				i, snapPairs.Len(), wantPairs.Len(), snapPairs.Intersect(wantPairs))
 		}
+	}
+}
+
+// TestHTTPIngestBodyLimit checks that an ingest body over maxIngestBytes is
+// refused with 413 request_too_large — for the JSONL and the array form —
+// without filing any of it. The bodies are generated lazily, as padding the
+// decoders skip, so the test holds no oversized buffer of its own.
+func TestHTTPIngestBodyLimit(t *testing.T) {
+	s, err := New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := s.Create(CollectionSpec{Name: "limit", Attrs: []string{"name"}, Q: 2, K: 2, L: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 1 MiB lines of spaces: blank lines to ReadJSONL, whitespace to the
+	// array decoder, each line well under the JSONL line limit.
+	line := strings.Repeat(" ", 1<<20-1) + "\n"
+	padding := func() io.Reader {
+		parts := make([]io.Reader, maxIngestBytes/len(line)+1)
+		for i := range parts {
+			parts[i] = strings.NewReader(line)
+		}
+		return io.MultiReader(parts...)
+	}
+	bodies := map[string]struct {
+		body        io.Reader
+		contentType string
+	}{
+		"jsonl": {io.MultiReader(strings.NewReader(`{"attrs":{"name":"alice"}}`+"\n"), padding()), "application/x-ndjson"},
+		"array": {io.MultiReader(strings.NewReader(`[{"attrs":{"name":"alice"}}`), padding(), strings.NewReader("]")), "application/json"},
+	}
+	for name, tc := range bodies {
+		t.Run(name, func(t *testing.T) {
+			req := httptest.NewRequest("POST", "/v1/collections/limit/records", tc.body)
+			req.Header.Set("Content-Type", tc.contentType)
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, req)
+			var envelope struct {
+				Error struct {
+					Code string `json:"code"`
+				} `json:"error"`
+			}
+			if err := json.NewDecoder(rec.Body).Decode(&envelope); err != nil {
+				t.Fatal(err)
+			}
+			if rec.Code != http.StatusRequestEntityTooLarge || envelope.Error.Code != "request_too_large" {
+				t.Fatalf("oversized %s body answered %d %q, want 413 request_too_large", name, rec.Code, envelope.Error.Code)
+			}
+			if c.Len() != 0 {
+				t.Fatalf("oversized %s body filed %d records", name, c.Len())
+			}
+		})
 	}
 }

@@ -11,15 +11,14 @@
 // in internal/engine and asserted by the tests here.
 //
 // Every Indexer is backed by a SharedLog holding the record log. A
-// standalone Indexer owns a private log; a family of table-subset Indexers
-// (WithTables) can instead attach to one common log via WithSharedLog and
-// ingest through SharedLog.Append + InsertStaged, so the record log is
-// stored exactly once per family and each record's signature stage
-// (q-gram base hashes + semhash, the table-count-independent half of
-// signing) is computed exactly once — regardless of how many shards
-// consume it. This is the building block of the serving layer's shared-log
-// collections (internal/server), which removes the N+1 record-log/staging
-// duplication plain per-shard indexers would pay.
+// standalone Indexer owns a private log; an Indexer attached to an external
+// log with WithSharedLog is instead fed through SharedLog.Append +
+// InsertStaged: the log assigns record IDs and computes each record's
+// signature stage (q-gram base hashes + semhash), and InsertStaged files
+// the staged batch into the tables and hands back the raw collision pairs
+// per record, leaving deduplication and delivery to the caller. This is
+// how the serving layer's collections (internal/server) ingest: one log
+// and one full-table Indexer per collection.
 //
 // Concurrency model: signature stages of a mini-batch are computed by a
 // pool of workers (runtime.NumCPU() by default); the l hash tables are
@@ -249,10 +248,7 @@ func WithName(name string) Option {
 // so a family of indexers over disjoint table subsets covering 0..l-1
 // collectively reproduces the unrestricted index exactly: the union of
 // their snapshots equals the full Snapshot and the deduplicated union of
-// their candidate pairs equals the full candidate set. This is the building
-// block of the serving layer's table-sharded collections
-// (internal/server), where every record is inserted into every shard but
-// each shard maintains only its own tables.
+// their candidate pairs equals the full candidate set.
 //
 // Table indices must be distinct and within [0, l). NewIndexer rejects
 // invalid subsets.
@@ -266,8 +262,6 @@ func WithTables(tables ...int) Option {
 // WithSharedLog attaches the Indexer to an existing SharedLog instead of a
 // private record log: records and signature stages live in (and are
 // computed by) the log, the Indexer only fills its own hash tables.
-// Combine with WithTables so a family of shards over one log partitions
-// both the table work and — through the log — the per-record staging.
 //
 // The configuration passed to NewIndexer must describe the same blocking
 // behaviour as the log's (same attrs/q/k/l/seed and the same semantic
@@ -277,8 +271,8 @@ func WithTables(tables ...int) Option {
 // A shared-log Indexer may be driven two ways, not both: standalone via
 // Insert/InsertBatch (which append to the shared log and keep the Indexer's
 // own candidate ledger), or — the serving-layer mode — via
-// SharedLog.Append + InsertStaged on every attached Indexer, where the
-// caller owns deduplication and delivery.
+// SharedLog.Append + InsertStaged, where the caller owns deduplication and
+// delivery.
 func WithSharedLog(l *SharedLog) Option {
 	return func(ix *Indexer) { ix.log = l }
 }
@@ -571,12 +565,12 @@ func (g *PairGroups) Pairs() []record.Pair { return g.pairs }
 // InsertStaged files an already-staged mini-batch (SharedLog.Append) into
 // this index's hash tables and returns the raw collision pairs grouped per
 // batch record: Group(i) holds the pairs record b.IDs[i] collided into,
-// in this index's table order, not deduplicated against earlier emissions.
-// Unlike Insert/InsertBatch it does NOT touch the index's own candidate
-// ledger — the caller owns deduplication and delivery. This is the serving
-// layer's fan-out primitive: the collection appends a batch to the shared
-// log once, hands the staged batch to every shard, and merges the returned
-// groups into its single global ledger in canonical record order.
+// in this index's table order, not deduplicated — the same two records
+// sharing a bucket in several tables appear once per table. Unlike
+// Insert/InsertBatch it does NOT touch the index's own candidate ledger —
+// the caller owns deduplication and delivery. The groups are the caller's
+// to reorder in place (internal/server.Collection sorts and compacts each
+// one), but must not be appended to.
 func (ix *Indexer) InsertStaged(b StagedBatch) PairGroups {
 	if len(b.IDs) == 0 {
 		return PairGroups{}
@@ -624,59 +618,6 @@ func (ix *Indexer) InsertStaged(b StagedBatch) PairGroups {
 		out.off[i+1] = len(out.pairs)
 	}
 	return out
-}
-
-// ReplayStaged files an already-staged batch into the index's hash tables
-// without materialising collision pairs. It is the replay-from-base-state
-// primitive the serving layer's restore path uses: co-bucketing alone
-// determines the candidate-pair set, and the canonical emission order is a
-// pure function of that set (a pair is always discovered when its
-// higher-ID record arrives, and a record's group is sorted by the lower
-// ID), so a caller replaying a persisted record log — in particular a
-// compacted segment chain — can rebuild its entire pair ledger from the
-// final Snapshot instead of collecting, deduplicating and merging
-// per-record groups for every replayed batch. Skipping the group
-// bookkeeping makes replay allocation-free on the pair side, which matters
-// when the drained prefix being replayed is large.
-func (ix *Indexer) ReplayStaged(b StagedBatch) {
-	if len(b.IDs) == 0 {
-		return
-	}
-	sigs := ix.sigArena(len(b.IDs))
-	parallelChunks(len(b.IDs), ix.workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ix.signer.SignStagedInto(&b.stages[i], ix.sigComponents, sigs[i])
-		}
-	})
-	var wg sync.WaitGroup
-	for _, sh := range ix.shards {
-		wg.Add(1)
-		go func(sh *shard) {
-			defer wg.Done()
-			keys := make([]uint64, 0, 8)
-			for i, id := range b.IDs {
-				keys = sh.replay(ix.signer, id, sigs[i], b.stages[i].Sem(), keys)
-			}
-		}(sh)
-	}
-	wg.Wait()
-}
-
-// replay files the record into every table of the shard, discarding the
-// collision pairs (see ReplayStaged). It returns the key scratch slice so
-// the caller can reuse its capacity across records.
-//
-//semblock:hotpath
-func (sh *shard) replay(signer *lsh.Signer, id record.ID, sig []uint64, sem semantic.BitVec, keys []uint64) []uint64 {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for i, t := range sh.tables {
-		keys = signer.BucketKeys(t, sig, sem, keys[:0])
-		for _, key := range keys {
-			sh.store[i].Insert(key, id)
-		}
-	}
-	return keys
 }
 
 // insert files the record into every table of the shard and appends the

@@ -50,7 +50,7 @@
 //
 // # Serving
 //
-// A multi-tenant HTTP service wraps the streaming engine in named, sharded,
+// A multi-tenant HTTP service wraps the streaming engine in named,
 // persistent collections ("semblock serve" on the command line):
 //
 //	srv, _ := semblock.NewServer(semblock.WithDataDir("/var/lib/semblock"))
@@ -212,12 +212,11 @@ type (
 	Row = stream.Row
 	// IndexerOption customises an Indexer (workers, snapshot name).
 	IndexerOption = stream.Option
-	// SharedLog is the record log + once-per-record signature staging a
-	// family of table-subset Indexers can share, so the log is stored once
-	// and each record is staged once regardless of the shard count.
+	// SharedLog is the record log + once-per-record signature staging an
+	// Indexer attached with WithSharedLog ingests through.
 	SharedLog = stream.SharedLog
 	// StagedBatch is a mini-batch appended to a SharedLog, ready for
-	// Indexer.InsertStaged on every attached shard.
+	// Indexer.InsertStaged.
 	StagedBatch = stream.StagedBatch
 )
 
@@ -389,8 +388,8 @@ var (
 )
 
 // Multi-tenant serving layer (internal/server): a Server owns named
-// Collections — each backed by N table-sharded streaming indexers whose
-// merged candidate set equals the batch Block set on the same records —
+// Collections — each one shared record log feeding one streaming indexer,
+// whose candidate set equals the batch Block set on the same records —
 // exposed over an HTTP JSON API (Server.Handler) with snapshot persistence
 // (Save/Load JSONL segments, checkpointing, restore-on-boot). The CLI
 // front-end is "semblock serve".
@@ -399,7 +398,7 @@ type (
 	Server = server.Server
 	// ServerOption customises a Server (data dir, default shards).
 	ServerOption = server.Option
-	// Collection is one tenant's sharded, persistent blocking index.
+	// Collection is one tenant's persistent blocking index.
 	Collection = server.Collection
 	// CollectionSpec is a collection's JSON-serialisable configuration.
 	CollectionSpec = server.CollectionSpec
